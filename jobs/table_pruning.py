@@ -25,7 +25,8 @@ def run(spark, names: list[str]) -> list[dict]:
         e = datasets.load_local(name)
         r = core_exact(e)
         st = r.stats
-        full_nodes = 2 + e.n_src + e.n_dst + e.m
+        # s, t and one node per source and destination, as in the pruned networks
+        full_nodes = 2 + e.n_src + e.n_dst
         # candidate-space size: count distinct reduced fractions (exact for
         # the small tier; estimated via the Farey ~3/π² density for large)
         n_s, n_t = e.n_src, e.n_dst
@@ -33,7 +34,6 @@ def run(spark, names: list[str]) -> list[dict]:
             n_cand = len(all_candidate_ratios(n_s, n_t))
         else:
             n_cand = int(n_s * n_t * 6 / 3.1415926**2)
-        core_sizes = st.get("core_sizes", [])
         rows.append(
             {
                 "dataset": name,
@@ -47,7 +47,7 @@ def run(spark, names: list[str]) -> list[dict]:
                 "shrink": round(
                     st.get("max_flow_nodes", 0) / full_nodes, 4
                 ),
-                "min_core_m": min(core_sizes) if core_sizes else "",
+                "min_core_m": st.get("min_core_m", ""),
                 "rho_opt": round(r.rho, 4),
             }
         )

@@ -7,8 +7,9 @@ its square is rational with denominator ≤ n², and for a fixed ratio
     rho_a(S,T) = 2*sqrt(i*j)*|E| / (j*|S| + i*|T|)
 
 also has a rational square. All "is this pair better" comparisons are
-therefore done on exact Fractions; floats appear only inside the flow
-solver and for reporting.
+therefore done on exact Fractions, and the flow solver runs on the
+rational level ``ρ_a/(2*sqrt(i*j))`` in integers. Floats appear only for
+reporting and in the ratio-space search (``candidate_in``, ``_widen_factor``).
 """
 from __future__ import annotations
 

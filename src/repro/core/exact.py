@@ -1,8 +1,9 @@
 """Exact DDS algorithms: Exact (baseline), DC-Exact, Core-Exact.
 
 All three share one subroutine, ``solve_ratio``: Dinkelbach iteration on
-the fixed-ratio skewed density ρ_a (see DESIGN.md §2). Dinkelbach's
-levels are exact rational squares and strictly increase, so it
+the fixed-ratio objective λ(S,T) = |E(S,T)|/(j|S|+i|T|), which orders
+pairs like the skewed density ρ_a = 2√(ij)·λ (see DESIGN.md §2).
+Dinkelbach's levels are exact rationals and strictly increase, so it
 terminates at F(a) = max ρ_a together with an argmax pair. The
 algorithms differ *only* in how much of the candidate-ratio space they
 solve and on how small a subgraph each flow network is built — exactly
@@ -20,10 +21,10 @@ the axes of the paper's contribution:
   the whole closed ratio interval [min(a,c), max(a,c)].
 
 - ``core_exact``: DC plus the paper's core optimizations: ρ_best is
-  seeded by Core-Approx (≥ ρ_opt/2); any h-argmax at level g lives in
-  the [⌈g/(2√a)⌉, ⌈g·√a/2⌉]-core (removing a lower-degree vertex from
-  an argmax would strictly raise h), so each ratio's network is built
-  only on that core, the core is re-shrunk as Dinkelbach's level grows,
+  seeded by Core-Approx (≥ ρ_opt/2); any h-argmax at level λ lives in
+  the [⌈λj⌉, ⌈λi⌉]-core (removing a lower-degree vertex from an argmax
+  would strictly raise h), so each ratio's network is built only on
+  that core, the core is re-shrunk as Dinkelbach's level grows,
   and a ratio whose core at level ρ_best is already empty is skipped
   outright (it cannot contain the optimum unless ρ_best = ρ_opt
   already, because the DDS itself satisfies the degree bounds at its
@@ -33,26 +34,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, sqrt
+from math import ceil, isqrt, sqrt
 
 import numpy as np
 
 from repro.core.approx import core_approx
-from repro.core.density import skewed2_frac
 from repro.core.ratios import all_candidate_ratios, candidate_in
 from repro.core.result import DDSResult
 from repro.core.xycore import CoreEngine, DataFrameEngine, LocalEngine
 from repro.flow.network import solve_level
 from repro.graph.local import EdgeArrays
 
-_CEIL_SLACK = 1e-9  # never round a float threshold *up* past the true value
+
+def _thresholds(lam: Fraction, i: int, j: int) -> tuple[int, int]:
+    """Degree bounds (x, y) every h-argmax at level λ satisfies.
+
+    Dropping u from S changes |E(S,T)| − λ(j|S|+i|T|) by λj − d_T(u), so
+    every u in an argmax has d_T(u) ≥ λj; likewise d_S(v) ≥ λi for v in T.
+    """
+    return max(1, ceil(lam * j)), max(1, ceil(lam * i))
 
 
-def _thresholds(g: float, i: int, j: int) -> tuple[int, int]:
-    """Degree bounds (x, y) every h-argmax at level g satisfies."""
-    x = max(1, ceil(g * sqrt(j / i) / 2.0 - _CEIL_SLACK))
-    y = max(1, ceil(g * sqrt(i / j) / 2.0 - _CEIL_SLACK))
-    return x, y
+def _level_below(rho2: Fraction, i: int, j: int) -> Fraction:
+    """A rational level λ with 4ij·λ² ≤ ρ², i.e. ρ_a-level 2√(ij)·λ ≤ ρ.
+
+    Exact when √(ρ²/(4ij)) is rational, otherwise below it by less than 2⁻⁶⁴.
+    """
+    x = rho2 / (4 * i * j)
+    n, d = x.numerator, x.denominator
+    return Fraction(isqrt(n * d << 128), d << 64)
 
 
 @dataclass
@@ -76,46 +86,43 @@ def solve_ratio(
     e: EdgeArrays,
     i: int,
     j: int,
-    g0: float,
-    g0_sq: Fraction,
+    lam0: Fraction,
     *,
     prune_cores: bool = False,
     stats: dict | None = None,
 ) -> RatioSolution | None:
-    """Dinkelbach on ρ_a, a = i/j, starting at level ``g0`` (with exact
-    square ``g0_sq`` for acceptance tests).
+    """Dinkelbach on λ = |E(S,T)|/(j|S|+i|T|), a = i/j, from level ``lam0``.
 
-    Returns the argmax of ρ_a if some pair exceeds ``g0``, else None
-    (meaning F(a) ≤ g0 — the caller settles just the point a). With
-    ``prune_cores`` every iteration first shrinks the graph to the
-    [x(g),y(g)]-core; cores are nested as g grows, so shrinking the
-    *current* core is valid.
+    Returns the argmax of ρ_a = 2√(ij)·λ if some pair has λ > ``lam0``,
+    else None (meaning F(a) ≤ 2√(ij)·lam0 — the caller settles just the
+    point a). With ``prune_cores`` every iteration first shrinks the graph
+    to the [⌈λj⌉,⌈λi⌉]-core; cores are nested as λ grows, so shrinking
+    the *current* core is valid.
     """
     st = stats if stats is not None else {}
     cur = e
-    g, g_sq = g0, g0_sq
+    lam = lam0
     best: RatioSolution | None = None
     while True:
         if prune_cores:
-            x, y = _thresholds(g, i, j)
+            x, y = _thresholds(lam, i, j)
             cur = LocalEngine().core(cur, x, y)
-            st.setdefault("core_sizes", []).append(cur.m)
+            st["min_core_m"] = min(st.get("min_core_m", cur.m), cur.m)
         if cur.m == 0:
             return best
-        h, s_sel, t_sel = solve_level(cur.src, cur.dst, i, j, g)
+        _, s_sel, t_sel = solve_level(cur.src, cur.dst, i, j, lam)
         st["cuts"] = st.get("cuts", 0) + 1
         st["max_flow_nodes"] = max(
-            st.get("max_flow_nodes", 0), 2 + cur.n_src + cur.n_dst + cur.m
+            st.get("max_flow_nodes", 0), 2 + cur.n_src + cur.n_dst
         )
         if len(s_sel) == 0 or len(t_sel) == 0:
             return best
         m_st = cur.edges_between(s_sel, t_sel)
-        sk2 = skewed2_frac(m_st, len(s_sel), len(t_sel), i, j)
-        if sk2 <= g_sq:  # no strict improvement — converged
+        lam_new = Fraction(m_st, j * len(s_sel) + i * len(t_sel))
+        if lam_new <= lam:  # no strict improvement — converged
             return best
-        best = RatioSolution(s_sel, t_sel, m_st, sk2)
-        g_sq = sk2
-        g = sqrt(float(sk2))
+        best = RatioSolution(s_sel, t_sel, m_st, 4 * i * j * lam_new**2)
+        lam = lam_new
 
 
 def _full_graph_pair(e: EdgeArrays) -> DDSResult:
@@ -131,9 +138,8 @@ def exact_dds(e: EdgeArrays) -> DDSResult:
     best = _full_graph_pair(e)
     ratios = all_candidate_ratios(e.n_src, e.n_dst)
     for a in ratios:
-        sol = solve_ratio(
-            e, a.numerator, a.denominator, best.rho, best.rho2, stats=stats
-        )
+        i, j = a.numerator, a.denominator
+        sol = solve_ratio(e, i, j, _level_below(best.rho2, i, j), stats=stats)
         if sol is not None:
             cand = sol.as_result()
             if cand.better_than(best):
@@ -141,13 +147,6 @@ def exact_dds(e: EdgeArrays) -> DDSResult:
     stats["ratios_solved"] = len(ratios)
     best.stats = stats
     return best
-
-
-def _self_lower_bound(e: EdgeArrays, i: int, j: int) -> tuple[float, Fraction]:
-    """ρ_a of the full graph — a witness-backed start level for Dinkelbach."""
-    ns, nt = e.n_src, e.n_dst
-    sq = skewed2_frac(e.m, ns, nt, i, j)
-    return sqrt(float(sq)), sq
 
 
 def dc_exact(e: EdgeArrays) -> DDSResult:
@@ -163,8 +162,8 @@ def dc_exact(e: EdgeArrays) -> DDSResult:
         """Solve ratio a to its F(a)-argmax; returns the argmax ratio c."""
         nonlocal best
         i, j = a.numerator, a.denominator
-        g0, g0_sq = _self_lower_bound(e, i, j)
-        sol = solve_ratio(e, i, j, g0, g0_sq, stats=stats)
+        # the full graph's own level: a witness-backed start for Dinkelbach
+        sol = solve_ratio(e, i, j, Fraction(e.m, j * ns + i * nt), stats=stats)
         stats["ratios_solved"] += 1
         if sol is None:
             # the full graph itself attains F(a)
@@ -214,9 +213,11 @@ def core_exact(
     the core fixpoints run as Catalyst programs and only the (small)
     pruned cores are ever collected to the driver for flow.
 
-    Each ratio is probed at level ``g = ρ_best·(1−δ)``. A failed probe
-    (empty level-core, or min-cut finds nothing above g) proves
-    F(a) ≤ g, and then every pair with ratio r satisfies
+    Each ratio is probed at a rational level λ with
+    ``g = 2√(ij)·λ ≤ ρ_best·(1−δ)``, rounded down by `_level_below` (a
+    lower level only enlarges the probed core). A failed probe (empty
+    level-core, or min-cut finds nothing above λ) proves
+    F(a) ≤ g ≤ ρ_best·(1−δ), and then every pair with ratio r satisfies
     ρ ≤ F(a)·q(a,r) ≤ ρ_best for q(a,r) ≤ 1/(1−δ) — settling the whole
     multiplicative interval [a/β, a·β] with β = `_widen_factor(1/(1−δ))`
     instead of the single point a. A successful probe runs Dinkelbach to
@@ -254,9 +255,8 @@ def core_exact(
         """Probe/solve ratio a; returns the settled closed ratio interval."""
         nonlocal best
         i, j = a.numerator, a.denominator
-        g_probe = best.rho * (1.0 - delta)
-        g_probe_sq = best.rho2 * Fraction(1.0 - delta) ** 2
-        x, y = _thresholds(g_probe, i, j)
+        lam = _level_below(best.rho2 * (1 - Fraction(delta)) ** 2, i, j)
+        x, y = _thresholds(lam, i, j)
         core_state = eng.core(edges, x, y)
         stats["core_probes_exact"] = stats.get("core_probes_exact", 0) + 1
         sol = None
@@ -264,11 +264,9 @@ def core_exact(
             stats["ratios_skipped_empty_core"] += 1
         else:
             local = eng.to_local(core_state)
-            sol = solve_ratio(
-                local, i, j, g_probe, g_probe_sq, prune_cores=True, stats=stats
-            )
+            sol = solve_ratio(local, i, j, lam, prune_cores=True, stats=stats)
             stats["ratios_solved"] += 1
-        if sol is None:  # F(a) <= g_probe: settle the δ-radius around a
+        if sol is None:  # F(a) <= ρ_best·(1−δ): settle the δ-radius around a
             return a / fail_beta, a * fail_beta
         cand = sol.as_result()
         if cand.better_than(best):

@@ -6,8 +6,8 @@ is available offline, so this subpackage implements one from scratch:
 
 - :mod:`repro.flow.dinic` — Dinic's blocking-flow algorithm with an
   s-side min-cut extractor.
-- :mod:`repro.flow.network` — the DDS project-selection network for a
-  fixed ratio ``a = i/j`` and density level ``g``.
+- :mod:`repro.flow.network` — the DDS vertex network for a fixed ratio
+  ``a = i/j`` and exact rational level ``λ = p/q``.
 """
 from repro.flow.dinic import Dinic
 from repro.flow.network import DDSNetwork, build_dds_network, solve_level

@@ -4,14 +4,11 @@ Used on the *core-pruned* DDS decision networks, which the paper's whole
 contribution keeps small — so a driver-side sequential solver is the
 appropriate substrate (see DESIGN.md "Layering decision").
 
-Capacities are floats (the DDS network mixes unit capacities with
-``g·i``/``g·j`` terms where ``g`` is an irrational density level); all
-comparisons use an absolute epsilon that callers can scale.
+Capacities are Python ints: the DDS network scales its rational level
+``λ = p/q`` to integer capacities, so every flow value and every residual
+test (``cap > 0``) is exact, and big ints never overflow.
 """
 from __future__ import annotations
-
-INF = float("inf")
-_EPS = 1e-12
 
 
 class Dinic:
@@ -26,82 +23,86 @@ class Dinic:
         self.n = n
         self.graph: list[list[int]] = [[] for _ in range(n)]  # node -> edge ids
         self.to: list[int] = []
-        self.cap: list[float] = []
+        self.cap: list[int] = []
 
-    def add_edge(self, u: int, v: int, cap: float) -> int:
-        """Add a directed edge u→v with capacity ``cap``; returns its id."""
+    def add_edge(self, u: int, v: int, cap: int) -> int:
+        """Add a directed edge u→v with integer capacity ``cap``; returns its id."""
+        if type(cap) is not int:  # bool is an int subclass, so test the exact type
+            raise TypeError(f"capacity must be an int, got {cap!r} on edge {u}->{v}")
         if cap < 0:
             raise ValueError(f"negative capacity {cap!r} on edge {u}->{v}")
         k = len(self.to)
-        self.to.append(v)
-        self.cap.append(cap)
+        self.to += (v, u)
+        self.cap += (cap, 0)
         self.graph[u].append(k)
-        self.to.append(u)
-        self.cap.append(0.0)
         self.graph[v].append(k + 1)
         return k
 
     # -- internals ---------------------------------------------------------
     def _bfs(self, s: int, t: int) -> bool:
+        """Level the residual graph from ``s``; stop once ``t`` is levelled
+        (no shortest path to ``t`` uses the nodes not yet levelled)."""
         self.level = lvl = [-1] * self.n
         lvl[s] = 0
         q = [s]
         to, cap, graph = self.to, self.cap, self.graph
+        depth = 0
         while q:
+            depth += 1
             nq = []
             for u in q:
-                lu = lvl[u]
                 for k in graph[u]:
                     v = to[k]
-                    if cap[k] > _EPS and lvl[v] < 0:
-                        lvl[v] = lu + 1
+                    if cap[k] > 0 and lvl[v] < 0:
+                        lvl[v] = depth
+                        if v == t:
+                            return True
                         nq.append(v)
             q = nq
-        return lvl[t] >= 0
+        return False
 
-    def _augment(self, s: int, t: int) -> float:
+    def _augment(self, s: int, t: int) -> int:
         """Find one augmenting path in the level graph and push along it.
 
         Uses the per-node edge iterators (``self.iter``) so repeated calls
-        within one phase amortize to a blocking flow. Returns 0.0 when the
+        within one phase amortize to a blocking flow. Returns 0 when the
         level graph admits no further path.
         """
         to, cap, lvl, it, graph = self.to, self.cap, self.level, self.iter, self.graph
         path: list[int] = []  # edge ids along current path
         u = s
-        while True:
-            if u == t:
-                f = min(cap[k] for k in path)
-                for k in path:
-                    cap[k] -= f
-                    cap[k ^ 1] += f
-                return f
-            advanced = False
-            while it[u] < len(graph[u]):
-                k = graph[u][it[u]]
-                v = to[k]
-                if cap[k] > _EPS and lvl[v] == lvl[u] + 1:
-                    path.append(k)
-                    u = v
-                    advanced = True
+        while u != t:
+            adj = graph[u]
+            i, nxt, end = it[u], lvl[u] + 1, len(adj)
+            while i < end:
+                k = adj[i]
+                if cap[k] > 0 and lvl[to[k]] == nxt:
                     break
-                it[u] += 1
-            if advanced:
+                i += 1
+            it[u] = i
+            if i < end:
+                path.append(k)
+                u = to[k]
                 continue
             lvl[u] = -1  # dead end: prune from level graph
             if u == s:
-                return 0.0
+                return 0
             k = path.pop()
             u = to[k ^ 1]  # tail of the popped edge
             it[u] += 1
+        f = min([cap[k] for k in path])
+        for k in path:
+            cap[k] -= f
+            cap[k ^ 1] += f
+        return f
 
     # -- public API --------------------------------------------------------
-    def max_flow(self, s: int, t: int) -> float:
+    def max_flow(self, s: int, t: int) -> int:
         """Compute the maximum s→t flow value."""
-        flow = 0.0
+        flow = 0
         while self._bfs(s, t):
             self.iter = [0] * self.n
-            while (f := self._augment(s, t)) > 0.0:
+            while (f := self._augment(s, t)) > 0:
                 flow += f
         return flow
 
@@ -119,7 +120,7 @@ class Dinic:
             u = q.pop()
             for k in graph[u]:
                 v = to[k]
-                if cap[k] > _EPS and not seen[v]:
+                if cap[k] > 0 and not seen[v]:
                     seen[v] = True
                     q.append(v)
         return [i for i, b in enumerate(seen) if b]

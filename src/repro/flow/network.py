@@ -1,33 +1,33 @@
-"""DDS decision network for a fixed ratio ``a = i/j`` and level ``g``.
+"""DDS decision network for a fixed ratio ``a = i/j`` and level ``λ``.
 
 For fixed ``a = i/j`` the skewed density of a pair ``(S,T)`` is
 
     rho_a(S,T) = 2*sqrt(i*j)*|E(S,T)| / (j*|S| + i*|T|)      (see DESIGN.md)
 
-and the decision "does some pair have rho_a > g" reduces to whether
+so maximising ``rho_a`` is maximising the rational
+``λ(S,T) = |E(S,T)| / (j*|S| + i*|T|)``, and the decision "does some pair
+have λ above the level ``λ = p/q``" is whether
 
-    h(g) = max_{S,T} [ 2*sqrt(i*j)*|E(S,T)| - g*(j*|S| + i*|T|) ]  >  0.
+    q*h(λ) = max_{S,T} [ q*|E(S,T)| - p*(j*|S| + i*|T|) ]  >  0.
 
-``h`` is a project-selection objective: each edge ``(u,v)`` is a profit-
-``2*sqrt(i*j)`` project requiring machines ``u_out`` (cost ``g*j``) and
-``v_in`` (cost ``g*i``). Its max equals ``total_profit - mincut`` of
+This is Goldberg's vertex network in the directed form of Khuller–Saha:
+one node per source ``u_out`` and per destination ``v_in``, with
 
-    s --(2*sqrt(i*j))--> e_uv --(inf)--> u_out --(g*j)--> t
-                              --(inf)--> v_in  --(g*i)--> t
+    s --(q*d_out(u))--> u_out --(q per edge)--> v_in --(p*i)--> t
+                        u_out --(p*j)--> t
 
-and the maximizing pair is read off the source side of the min cut.
-All capacities are pre-scaled by ``2*sqrt(i*j)`` (vs. the unscaled
-``g/(2*sqrt(a))`` form) so the unit of the objective is "edges", keeping
-float error analysis simple.
+A cut whose source side holds ``S`` and ``T`` costs
+``q*m - (q*|E(S,T)| - p*(j|S| + i|T|))``, so ``q*h = q*m - mincut`` exactly,
+in integers, and the maximising pair is read off the source side.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from fractions import Fraction
 
 import numpy as np
 
-from repro.flow.dinic import INF, Dinic
+from repro.flow.dinic import Dinic
 
 
 @dataclass
@@ -35,58 +35,57 @@ class DDSNetwork:
     """A built decision network plus the label maps needed to decode cuts."""
 
     dinic: Dinic
-    src_labels: np.ndarray  # S-side node k+2        -> vertex label src_labels[k]
-    dst_labels: np.ndarray  # T-side node k+2+len(S) -> vertex label dst_labels[k]
-    total_profit: float  # 2*sqrt(i*j) * m
+    src_labels: np.ndarray  # u_out node k+2        -> vertex label src_labels[k]
+    dst_labels: np.ndarray  # v_in node k+2+len(S)  -> vertex label dst_labels[k]
+    lam: Fraction  # the level p/q
+    source_cap: int  # q*m, the capacity out of s
 
-    def solve(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """Max-flow; returns ``(h, S, T)`` where ``h = profit - mincut``.
+    def solve(self) -> tuple[Fraction, np.ndarray, np.ndarray]:
+        """Max-flow; returns ``(h, S, T)`` where ``h = m - mincut/q``.
 
         ``S``/``T`` are vertex-label arrays of the maximizing pair (empty
         when the maximizer is the empty selection, i.e. ``h <= 0``).
         """
         cut_value = self.dinic.max_flow(0, 1)
-        h = self.total_profit - cut_value
+        h = Fraction(self.source_cap - cut_value, self.lam.denominator)
         side = self.dinic.min_cut_source_side(0)
-        ns, nt = len(self.src_labels), len(self.dst_labels)
+        ns = len(self.src_labels)
         s_sel = [k - 2 for k in side if 2 <= k < 2 + ns]
-        t_sel = [k - 2 - ns for k in side if 2 + ns <= k < 2 + ns + nt]
+        t_sel = [k - 2 - ns for k in side if k >= 2 + ns]
         return h, self.src_labels[s_sel], self.dst_labels[t_sel]
 
 
 def build_dds_network(
-    src: np.ndarray, dst: np.ndarray, i: int, j: int, g: float
+    src: np.ndarray, dst: np.ndarray, i: int, j: int, lam: Fraction
 ) -> DDSNetwork:
-    """Build the decision network for edge arrays ``(src, dst)``.
+    """Build the decision network for edge arrays ``(src, dst)`` at level ``lam``.
 
     ``src``/``dst`` hold arbitrary integer vertex labels; S-side and
     T-side candidate sets are the distinct sources and destinations.
     """
     if len(src) != len(dst):
         raise ValueError("src/dst length mismatch")
-    m = len(src)
-    w_edge = 2.0 * sqrt(i * j)
-    src_labels, s_idx = np.unique(src, return_inverse=True)
+    p, q = lam.numerator, lam.denominator
+    src_labels, s_idx, d_out = np.unique(src, return_inverse=True, return_counts=True)
     dst_labels, t_idx = np.unique(dst, return_inverse=True)
     ns, nt = len(src_labels), len(dst_labels)
-    # node ids: 0=s, 1=t, 2..2+ns-1 = u_out, 2+ns..2+ns+nt-1 = v_in, then edges
-    net = Dinic(2 + ns + nt + m)
-    for k in range(ns):
-        net.add_edge(2 + k, 1, g * j)
+    # node ids: 0=s, 1=t, 2..2+ns-1 = u_out, 2+ns..2+ns+nt-1 = v_in
+    net = Dinic(2 + ns + nt)
+    for k, d in enumerate(d_out.tolist()):
+        net.add_edge(0, 2 + k, q * d)
+        net.add_edge(2 + k, 1, p * j)
     for k in range(nt):
-        net.add_edge(2 + ns + k, 1, g * i)
-    e0 = 2 + ns + nt
-    for e in range(m):
-        net.add_edge(0, e0 + e, w_edge)
-        net.add_edge(e0 + e, 2 + int(s_idx[e]), INF)
-        net.add_edge(e0 + e, 2 + ns + int(t_idx[e]), INF)
-    return DDSNetwork(net, src_labels, dst_labels, w_edge * m)
+        net.add_edge(2 + ns + k, 1, p * i)
+    for u, v in zip((s_idx + 2).tolist(), (t_idx + 2 + ns).tolist()):
+        net.add_edge(u, v, q)
+    return DDSNetwork(net, src_labels, dst_labels, lam, q * len(src))
 
 
 def solve_level(
-    src: np.ndarray, dst: np.ndarray, i: int, j: int, g: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """One-shot: build the network and return ``(h, S, T)`` at level ``g``."""
+    src: np.ndarray, dst: np.ndarray, i: int, j: int, lam: Fraction
+) -> tuple[Fraction, np.ndarray, np.ndarray]:
+    """One-shot: build the network and return ``(h, S, T)`` at level ``lam``."""
     if len(src) == 0:
-        return 0.0, np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-    return build_dds_network(src, dst, i, j, g).solve()
+        z = np.array([], dtype=np.int64)
+        return Fraction(0), z, z
+    return build_dds_network(src, dst, i, j, lam).solve()

@@ -43,7 +43,7 @@ def test_dc_lemma(seed):
     with true ratio in [min(a,c), max(a,c)] is denser than (S,T)."""
     e = _random_tiny(seed)
     i, j = (2, 1) if seed % 2 else (1, 2)
-    sol = solve_ratio(e, i, j, 0.0, Fraction(0))
+    sol = solve_ratio(e, i, j, Fraction(0))
     assert sol is not None
     a = Fraction(i, j)
     c = sol.ratio
@@ -64,7 +64,7 @@ def test_width_lemma(seed):
     i, j = 1, 1
     a = 1.0
     # exact F(a)
-    sol = solve_ratio(e, i, j, 0.0, Fraction(0))
+    sol = solve_ratio(e, i, j, Fraction(0))
     f_a = float(sol.skewed2) ** 0.5
     rho_best = f_a * 1.3  # pretend the incumbent is 30% above F(a)
     for S, T in _all_pairs(e):

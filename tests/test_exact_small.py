@@ -1,9 +1,12 @@
 """The exact algorithms against brute force and against each other."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from repro.core.bruteforce import brute_force_dds
 from repro.core.exact import (
+    _level_below,
     _thresholds,
     _widen_factor,
     core_exact,
@@ -12,7 +15,7 @@ from repro.core.exact import (
     solve_ratio,
 )
 from repro.graph import generators as gen
-from repro.graph.local import EdgeArrays, empty_edges
+from repro.graph.local import EdgeArrays, dedup, empty_edges
 
 
 def _random_tiny(seed):
@@ -41,6 +44,17 @@ def test_dc_exact_matches_bruteforce(seed):
 def test_core_exact_matches_bruteforce(seed):
     e = _random_tiny(seed + 2000)
     assert core_exact(e).rho2 == brute_force_dds(e).rho2
+
+
+def test_exact_algorithms_match_bruteforce_sweep():
+    """300 seeded tiny graphs, self-loops kept: every exact answer is exact."""
+    for seed in range(300):
+        rng = np.random.default_rng(10_000 + seed)
+        n, m = int(rng.integers(1, 7)), int(rng.integers(1, 20))
+        e = dedup(EdgeArrays(rng.integers(0, n, m), rng.integers(0, n, m)))
+        opt = brute_force_dds(e).rho2
+        for algo in (exact_dds, dc_exact, core_exact):
+            assert algo(e).rho2 == opt, (seed, algo.__name__)
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.05, 0.2, 0.5])
@@ -110,17 +124,30 @@ def test_core_exact_stats_present():
 # --- subroutine-level tests -------------------------------------------------
 
 
-def test_thresholds_are_safe_lower_bounds():
-    # at g=4, a=1: every argmax vertex has degree >= 2 → x=y=2
-    assert _thresholds(4.0, 1, 1) == (2, 2)
-    # never rounds past the true value on representable floats
-    assert _thresholds(3.9999999999, 1, 1) == (2, 2)
-    assert _thresholds(0.1, 1, 1) == (1, 1)
+def test_thresholds_are_exact_at_the_boundary():
+    # at λ=2, a=1: every argmax vertex has degree >= 2 → x=y=2
+    assert _thresholds(Fraction(2), 1, 1) == (2, 2)
+    # just below an integer still rounds up to it, never past it
+    assert _thresholds(2 - Fraction(1, 10**12), 1, 1) == (2, 2)
+    assert _thresholds(Fraction(1, 10), 1, 1) == (1, 1)
+    # x = ⌈λj⌉ for S, y = ⌈λi⌉ for T
+    assert _thresholds(Fraction(7, 3), 1, 3) == (7, 3)
+
+
+def test_level_below_never_exceeds_the_true_level():
+    """4ij·λ² ≤ ρ², exactly when the root is rational, within 2⁻⁶⁴ otherwise."""
+    assert _level_below(Fraction(16), 1, 1) == 2
+    assert _level_below(Fraction(9, 4) * 4 * 6, 2, 3) == Fraction(3, 2)
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        rho2 = Fraction(int(rng.integers(1, 10**6)), int(rng.integers(1, 10**4)))
+        i, j = (int(v) for v in rng.integers(1, 50, 2))
+        lam = _level_below(rho2, i, j)
+        assert 4 * i * j * lam**2 <= rho2
+        assert 4 * i * j * (lam + Fraction(1, 2**64)) ** 2 > rho2
 
 
 def test_widen_factor_monotone_and_safe():
-    from fractions import Fraction
-
     assert _widen_factor(1.0) == Fraction(1)
     b1, b2 = _widen_factor(1.1), _widen_factor(1.5)
     assert 1 < b1 < b2
@@ -136,13 +163,12 @@ def test_widen_factor_monotone_and_safe():
 def test_solve_ratio_returns_fixed_ratio_optimum(seed):
     """Dinkelbach must find max skewed density for the given ratio."""
     import itertools
-    from fractions import Fraction
 
     from repro.core.density import skewed2_frac
 
     e = _random_tiny(seed + 300)
     i, j = 2, 1
-    sol = solve_ratio(e, i, j, 0.0, Fraction(0))
+    sol = solve_ratio(e, i, j, Fraction(0))
     # brute force F(a)
     s_all = np.unique(e.src).tolist()
     t_all = np.unique(e.dst).tolist()
