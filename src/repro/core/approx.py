@@ -26,6 +26,7 @@ Every algorithm reports the best snapshot under the *true* density ρ
 from __future__ import annotations
 
 import heapq
+from fractions import Fraction
 from math import sqrt
 
 import numpy as np
@@ -35,19 +36,14 @@ from pyspark.sql import functions as F
 from repro.core.density import rho2_frac
 from repro.core.ratios import geometric_grid
 from repro.core.result import DDSResult
-from repro.core.xycore import CoreEngine, DataFrameEngine, LocalEngine, max_xy_core
-from repro.graph.local import EdgeArrays
+from repro.core.xycore import CoreEngine, DataFrameEngine, max_xy_core
+from repro.graph.local import EdgeArrays, relabel
 from repro.graph.schema import DST, SRC
-
-
-def _engine_for(edges) -> CoreEngine:
-    return LocalEngine() if isinstance(edges, EdgeArrays) else DataFrameEngine()
 
 
 def core_approx(edges, *, engine: CoreEngine | None = None) -> DDSResult:
     """The paper's 2-approximation: the max-x·y nonempty [x,y]-core."""
-    eng = engine or _engine_for(edges)
-    core = max_xy_core(edges, engine=eng)
+    core = max_xy_core(edges, engine=engine)
     e = core.edges
     s_set = np.unique(e.src)
     t_set = np.unique(e.dst)
@@ -61,36 +57,32 @@ def core_approx(edges, *, engine: CoreEngine | None = None) -> DDSResult:
 # ---------------------------------------------------------------------------
 
 
-def _peel_one_ratio(e: EdgeArrays, a: float):
-    """Exact greedy peel for skewed density at ratio ``a``.
+def _csr(ids: np.ndarray, deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge ids grouped by endpoint id, and each id's start offset in them."""
+    return np.argsort(ids, kind="stable"), np.concatenate([[0], np.cumsum(deg)])
+
+
+def _peel_one_ratio(e: EdgeArrays, adj: tuple, a: float):
+    """Exact greedy peel for skewed density at ratio ``a``, on dense ids.
 
     Repeatedly removes the vertex-role minimizing degree/cost, where the
     S-role of u costs c_S = 1/(2√a) and the T-role of v costs c_T = √a/2.
-    Returns the snapshot (S, T, m) with the best *true* ρ.
+    ``adj`` = (out-degrees, in-degrees, out-CSR, in-CSR), built once per
+    graph. Returns the snapshot (S mask, T mask, m) with the best *true* ρ.
     """
     c_s = 1.0 / (2.0 * sqrt(a))
     c_t = sqrt(a) / 2.0
-    s_lab, s_inv = np.unique(e.src, return_inverse=True)
-    t_lab, t_inv = np.unique(e.dst, return_inverse=True)
-    ns, nt = len(s_lab), len(t_lab)
-    out_deg = np.bincount(s_inv, minlength=ns).astype(np.int64)
-    in_deg = np.bincount(t_inv, minlength=nt).astype(np.int64)
-    # adjacency: edge ids per S-node / T-node
-    order_s = np.argsort(s_inv, kind="stable")
-    start_s = np.searchsorted(s_inv[order_s], np.arange(ns + 1))
-    order_t = np.argsort(t_inv, kind="stable")
-    start_t = np.searchsorted(t_inv[order_t], np.arange(nt + 1))
-
+    src, dst = e.src, e.dst
+    deg_s, deg_t, (order_s, start_s), (order_t, start_t) = adj
+    out_deg, in_deg = deg_s.copy(), deg_t.copy()
     alive_edge = np.ones(e.m, dtype=bool)
-    alive_s = np.ones(ns, dtype=bool)
-    alive_t = np.ones(nt, dtype=bool)
-    heap: list[tuple[float, int, int, int]] = []  # (score, side, idx, deg-at-push)
-    for k in range(ns):
-        heapq.heappush(heap, (out_deg[k] / c_s, 0, k, out_deg[k]))
-    for k in range(nt):
-        heapq.heappush(heap, (in_deg[k] / c_t, 1, k, in_deg[k]))
+    alive_s, alive_t = deg_s > 0, deg_t > 0
+    # (score, side, id, deg-at-push); ids sort like labels, so ties break as on labels
+    heap = [(out_deg[k] / c_s, 0, k, out_deg[k]) for k in np.flatnonzero(alive_s).tolist()]
+    heap += [(in_deg[k] / c_t, 1, k, in_deg[k]) for k in np.flatnonzero(alive_t).tolist()]
+    heapq.heapify(heap)
 
-    m_alive, ns_alive, nt_alive = e.m, ns, nt
+    m_alive, ns_alive, nt_alive = e.m, int(alive_s.sum()), int(alive_t.sum())
     best = rho2_frac(m_alive, ns_alive, nt_alive)
     best_step = 0
     removals: list[tuple[int, int]] = []
@@ -105,7 +97,7 @@ def _peel_one_ratio(e: EdgeArrays, a: float):
                 if alive_edge[eid]:
                     alive_edge[eid] = False
                     m_alive -= 1
-                    tk = t_inv[eid]
+                    tk = dst[eid]
                     in_deg[tk] -= 1
                     if alive_t[tk]:
                         heapq.heappush(heap, (in_deg[tk] / c_t, 1, tk, in_deg[tk]))
@@ -118,7 +110,7 @@ def _peel_one_ratio(e: EdgeArrays, a: float):
                 if alive_edge[eid]:
                     alive_edge[eid] = False
                     m_alive -= 1
-                    sk = s_inv[eid]
+                    sk = src[eid]
                     out_deg[sk] -= 1
                     if alive_s[sk]:
                         heapq.heappush(heap, (out_deg[sk] / c_s, 0, sk, out_deg[sk]))
@@ -128,16 +120,10 @@ def _peel_one_ratio(e: EdgeArrays, a: float):
             best = cur
             best_step = len(removals)
     # rebuild the best snapshot
-    alive_s[:] = True
-    alive_t[:] = True
+    alive_s, alive_t = deg_s > 0, deg_t > 0
     for side, k in removals[:best_step]:
         (alive_s if side == 0 else alive_t)[k] = False
-    s_set = s_lab[alive_s]
-    t_set = t_lab[alive_t]
-    m_best = int(
-        (np.isin(e.src, s_set) & np.isin(e.dst, t_set)).sum()
-    )
-    return s_set, t_set, m_best
+    return alive_s, alive_t, int(np.count_nonzero(alive_s[src] & alive_t[dst]))
 
 
 def ks_approx(e: EdgeArrays, *, eps: float = 0.5) -> DDSResult:
@@ -147,10 +133,14 @@ def ks_approx(e: EdgeArrays, *, eps: float = 0.5) -> DDSResult:
         return DDSResult(z, z, 0, {"ratios": 0})
     ns, nt = e.n_src, e.n_dst
     grid = geometric_grid(1.0 / nt, float(ns), eps)
+    ids, labels = relabel(e)
+    deg_s = np.bincount(ids.src, minlength=len(labels))
+    deg_t = np.bincount(ids.dst, minlength=len(labels))
+    adj = (deg_s, deg_t, _csr(ids.src, deg_s), _csr(ids.dst, deg_t))
     best: DDSResult | None = None
     for a in grid:
-        s_set, t_set, m = _peel_one_ratio(e, a)
-        cand = DDSResult(s_set, t_set, m, {})
+        s_mask, t_mask, m = _peel_one_ratio(ids, adj, a)
+        cand = DDSResult(labels[s_mask], labels[t_mask], m, {})
         if cand.better_than(best):
             best = cand
     assert best is not None
@@ -164,32 +154,29 @@ def ks_approx(e: EdgeArrays, *, eps: float = 0.5) -> DDSResult:
 
 
 def _bs_peel_np(e: EdgeArrays, a: float, eps: float):
-    """One batch peel at ratio ``a``; returns best-true-ρ snapshot."""
+    """One batch peel at ratio ``a`` on dense ids; returns best-true-ρ snapshot."""
     c_s = 1.0 / (2.0 * sqrt(a))
     c_t = sqrt(a) / 2.0
     src, dst = e.src, e.dst
-    best = rho2_frac(len(src), len(np.unique(src)), len(np.unique(dst)))
-    best_pair = (np.unique(src), np.unique(dst), len(src))
+    best, best_at = Fraction(-1), None
     rounds = 0
     while len(src):
-        s_lab, s_inv = np.unique(src, return_inverse=True)
-        t_lab, t_inv = np.unique(dst, return_inverse=True)
-        m = len(src)
-        cur = rho2_frac(m, len(s_lab), len(t_lab))
+        d_out = np.bincount(src)
+        d_in = np.bincount(dst)
+        ns, nt, m = np.count_nonzero(d_out), np.count_nonzero(d_in), len(src)
+        cur = rho2_frac(m, ns, nt)
         if cur > best:
-            best = cur
-            best_pair = (s_lab, t_lab, m)
-        d_out = np.bincount(s_inv)
-        d_in = np.bincount(t_inv)
-        denom = c_s * len(s_lab) + c_t * len(t_lab)
+            best, best_at = cur, (d_out, d_in, m)
+        denom = c_s * ns + c_t * nt
         thr_out = (1.0 + eps) * 2.0 * m * c_s / denom
         thr_in = (1.0 + eps) * 2.0 * m * c_t / denom
-        keep = (d_out[s_inv] > thr_out) & (d_in[t_inv] > thr_in)
+        keep = (d_out[src] > thr_out) & (d_in[dst] > thr_in)
         if keep.all():  # cannot happen (see module docstring) — safety only
             break
         src, dst = src[keep], dst[keep]
         rounds += 1
-    return best_pair, rounds
+    d_out, d_in, m = best_at
+    return (np.flatnonzero(d_out), np.flatnonzero(d_in), m), rounds
 
 
 def bs_approx_np(e: EdgeArrays, *, eps: float = 0.5) -> DDSResult:
@@ -198,12 +185,13 @@ def bs_approx_np(e: EdgeArrays, *, eps: float = 0.5) -> DDSResult:
         z = np.array([], dtype=np.int64)
         return DDSResult(z, z, 0, {"ratios": 0})
     grid = geometric_grid(1.0 / e.n_dst, float(e.n_src), eps)
+    ids, labels = relabel(e)
     best: DDSResult | None = None
     rounds = 0
     for a in grid:
-        (s_set, t_set, m), r = _bs_peel_np(e, a, eps)
+        (s_set, t_set, m), r = _bs_peel_np(ids, a, eps)
         rounds += r
-        cand = DDSResult(s_set, t_set, m, {})
+        cand = DDSResult(labels[s_set], labels[t_set], m, {})
         if cand.better_than(best):
             best = cand
     assert best is not None
@@ -262,10 +250,8 @@ def bs_approx_df(edges: DataFrame, *, eps: float = 0.5) -> DDSResult:
         return best_round, best
 
     best_a, best_round, best_rho2 = grid[0], 0, rho2_frac(m0, ns0, nt0)
-    total_rounds = 0
     for a in grid:
         r, b = _peel(a, None)
-        total_rounds += r if r else 1
         if b > best_rho2:
             best_a, best_round, best_rho2 = a, r, b
     state = edges if best_round == 0 else _peel(best_a, best_round)

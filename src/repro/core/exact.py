@@ -41,9 +41,9 @@ import numpy as np
 from repro.core.approx import core_approx
 from repro.core.ratios import all_candidate_ratios, candidate_in
 from repro.core.result import DDSResult
-from repro.core.xycore import CoreEngine, DataFrameEngine, LocalEngine
+from repro.core.xycore import CoreEngine, LocalEngine, engine_state
 from repro.flow.network import solve_level
-from repro.graph.local import EdgeArrays
+from repro.graph.local import EdgeArrays, relabel
 
 
 def _thresholds(lam: Fraction, i: int, j: int) -> tuple[int, int]:
@@ -78,8 +78,10 @@ class RatioSolution:
     def ratio(self) -> Fraction:
         return Fraction(len(self.S), len(self.T))
 
-    def as_result(self, stats: dict | None = None) -> DDSResult:
-        return DDSResult(self.S, self.T, self.edges_st, stats or {})
+    def as_result(self, labels: np.ndarray | None = None) -> DDSResult:
+        """The witness as a DDSResult, its ids mapped through ``labels`` if given."""
+        S, T = (self.S, self.T) if labels is None else (labels[self.S], labels[self.T])
+        return DDSResult(S, T, self.edges_st, {})
 
 
 def solve_ratio(
@@ -93,6 +95,7 @@ def solve_ratio(
 ) -> RatioSolution | None:
     """Dinkelbach on λ = |E(S,T)|/(j|S|+i|T|), a = i/j, from level ``lam0``.
 
+    ``e``, and so the returned S and T, are on dense ids (``relabel``).
     Returns the argmax of ρ_a = 2√(ij)·λ if some pair has λ > ``lam0``,
     else None (meaning F(a) ≤ 2√(ij)·lam0 — the caller settles just the
     point a). With ``prune_cores`` every iteration first shrinks the graph
@@ -112,12 +115,14 @@ def solve_ratio(
             return best
         _, s_sel, t_sel = solve_level(cur.src, cur.dst, i, j, lam)
         st["cuts"] = st.get("cuts", 0) + 1
-        st["max_flow_nodes"] = max(
-            st.get("max_flow_nodes", 0), 2 + cur.n_src + cur.n_dst
-        )
+        d_out, d_in = np.bincount(cur.src), np.bincount(cur.dst)
+        nodes = 2 + np.count_nonzero(d_out) + np.count_nonzero(d_in)
+        st["max_flow_nodes"] = max(st.get("max_flow_nodes", 0), nodes)
         if len(s_sel) == 0 or len(t_sel) == 0:
             return best
-        m_st = cur.edges_between(s_sel, t_sel)
+        in_s = np.bincount(s_sel, minlength=len(d_out)) > 0
+        in_t = np.bincount(t_sel, minlength=len(d_in)) > 0
+        m_st = int(np.count_nonzero(in_s[cur.src] & in_t[cur.dst]))
         lam_new = Fraction(m_st, j * len(s_sel) + i * len(t_sel))
         if lam_new <= lam:  # no strict improvement — converged
             return best
@@ -136,12 +141,13 @@ def exact_dds(e: EdgeArrays) -> DDSResult:
         return DDSResult(z, z, 0, {"ratios_solved": 0})
     stats: dict = {"algo": "exact"}
     best = _full_graph_pair(e)
+    ids, labels = relabel(e)
     ratios = all_candidate_ratios(e.n_src, e.n_dst)
     for a in ratios:
         i, j = a.numerator, a.denominator
-        sol = solve_ratio(e, i, j, _level_below(best.rho2, i, j), stats=stats)
+        sol = solve_ratio(ids, i, j, _level_below(best.rho2, i, j), stats=stats)
         if sol is not None:
-            cand = sol.as_result()
+            cand = sol.as_result(labels)
             if cand.better_than(best):
                 best = cand
     stats["ratios_solved"] = len(ratios)
@@ -156,6 +162,7 @@ def dc_exact(e: EdgeArrays) -> DDSResult:
         return DDSResult(z, z, 0, {"ratios_solved": 0})
     stats: dict = {"algo": "dc-exact", "ratios_solved": 0}
     best = _full_graph_pair(e)
+    ids, labels = relabel(e)
     ns, nt = e.n_src, e.n_dst
 
     def full_solve(a: Fraction) -> Fraction:
@@ -163,14 +170,14 @@ def dc_exact(e: EdgeArrays) -> DDSResult:
         nonlocal best
         i, j = a.numerator, a.denominator
         # the full graph's own level: a witness-backed start for Dinkelbach
-        sol = solve_ratio(e, i, j, Fraction(e.m, j * ns + i * nt), stats=stats)
+        sol = solve_ratio(ids, i, j, Fraction(e.m, j * ns + i * nt), stats=stats)
         stats["ratios_solved"] += 1
         if sol is None:
             # the full graph itself attains F(a)
             c = Fraction(ns, nt)
         else:
             c = sol.ratio
-            cand = sol.as_result()
+            cand = sol.as_result(labels)
             if cand.better_than(best):
                 best = cand
         return c
@@ -227,10 +234,8 @@ def core_exact(
     """
     if not (0.0 <= delta < 1.0):
         raise ValueError("delta must be in [0, 1)")
-    eng = engine or (
-        LocalEngine() if isinstance(edges, EdgeArrays) else DataFrameEngine()
-    )
-    ns, nt, m = eng.counts(edges)
+    eng, graph, labels = engine_state(edges, engine)
+    ns, nt, m = eng.counts(graph)
     if m == 0:
         z = np.array([], dtype=np.int64)
         return DDSResult(z, z, 0, {"ratios_solved": 0})
@@ -257,18 +262,20 @@ def core_exact(
         i, j = a.numerator, a.denominator
         lam = _level_below(best.rho2 * (1 - Fraction(delta)) ** 2, i, j)
         x, y = _thresholds(lam, i, j)
-        core_state = eng.core(edges, x, y)
+        core_state = eng.core(graph, x, y)
         stats["core_probes_exact"] = stats.get("core_probes_exact", 0) + 1
         sol = None
         if eng.m(core_state) == 0:
             stats["ratios_skipped_empty_core"] += 1
         else:
-            local = eng.to_local(core_state)
+            local, core_labels = eng.to_local(core_state), labels
+            if core_labels is None:  # a collected DataFrame core: ids per core
+                local, core_labels = relabel(local)
             sol = solve_ratio(local, i, j, lam, prune_cores=True, stats=stats)
             stats["ratios_solved"] += 1
         if sol is None:  # F(a) <= ρ_best·(1−δ): settle the δ-radius around a
             return a / fail_beta, a * fail_beta
-        cand = sol.as_result()
+        cand = sol.as_result(core_labels)
         if cand.better_than(best):
             best = cand
         c = sol.ratio

@@ -26,7 +26,7 @@ import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.graph.local import EdgeArrays, collect_edges, empty_edges
+from repro.graph.local import EdgeArrays, collect_edges, empty_edges, relabel
 from repro.graph.schema import DST, SRC
 
 # ---------------------------------------------------------------------------
@@ -53,14 +53,13 @@ class CoreEngine(Protocol):
 
 
 class LocalEngine:
-    """numpy batch-fixpoint engine; state = EdgeArrays."""
+    """numpy batch-fixpoint engine; state = EdgeArrays on dense ids
+    (``repro.graph.local.relabel``), so each degree count is a ``bincount``."""
 
     def core(self, state: EdgeArrays, x: int, y: int) -> EdgeArrays:
         src, dst = state.src, state.dst
         while len(src):
-            s_lab, s_inv = np.unique(src, return_inverse=True)
-            t_lab, t_inv = np.unique(dst, return_inverse=True)
-            keep = (np.bincount(s_inv)[s_inv] >= x) & (np.bincount(t_inv)[t_inv] >= y)
+            keep = (np.bincount(src)[src] >= x) & (np.bincount(dst)[dst] >= y)
             if keep.all():
                 return EdgeArrays(src, dst)
             src, dst = src[keep], dst[keep]
@@ -73,10 +72,10 @@ class LocalEngine:
         return state.n_src, state.n_dst, state.m
 
     def max_out_degree(self, state: EdgeArrays) -> int:
-        return state.out_degree_max()
+        return int(np.bincount(state.src).max()) if state.m else 0
 
     def max_in_degree(self, state: EdgeArrays) -> int:
-        return state.in_degree_max()
+        return int(np.bincount(state.dst).max()) if state.m else 0
 
     def to_local(self, state: EdgeArrays) -> EdgeArrays:
         return state
@@ -153,10 +152,23 @@ class DataFrameEngine:
         return collect_edges(state)
 
 
+def engine_state(edges, engine: CoreEngine | None):
+    """``(engine, state, labels)``: local input on dense ids with the id -> label
+    array, or a DataFrame as it is with ``labels`` None."""
+    if isinstance(edges, EdgeArrays):
+        ids, labels = relabel(edges)
+        return engine or LocalEngine(), ids, labels
+    return engine or DataFrameEngine(), edges, None
+
+
+def _labelled(state, labels: np.ndarray | None):
+    return state if labels is None else EdgeArrays(labels[state.src], labels[state.dst])
+
+
 def xy_core(edges, x: int, y: int, *, engine: CoreEngine | None = None):
     """The [x,y]-core of ``edges`` (EdgeArrays or DataFrame), same type out."""
-    eng = engine or (LocalEngine() if isinstance(edges, EdgeArrays) else DataFrameEngine())
-    return eng.core(edges, x, y)
+    eng, state, labels = engine_state(edges, engine)
+    return _labelled(eng.core(state, x, y), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +193,12 @@ def y_max_for_x(edges, x: int, *, engine: CoreEngine | None = None, stats: dict 
     every probe runs inside the previously found nonempty core, so probes
     get cheaper as y grows. Returns ``(0, empty)`` when even [x,1] is empty.
     """
-    eng = engine or (LocalEngine() if isinstance(edges, EdgeArrays) else DataFrameEngine())
-    st = stats if stats is not None else {}
+    eng, state, labels = engine_state(edges, engine)
+    y, core = _y_max_for_x(eng, state, x, stats if stats is not None else {})
+    return y, _labelled(core, labels)
+
+
+def _y_max_for_x(eng: CoreEngine, edges, x: int, st: dict):
     base = eng.core(edges, x, 1)
     st["core_probes"] = st.get("core_probes", 0) + 1
     if eng.m(base) == 0:
@@ -209,14 +225,14 @@ def max_xy_core(edges, *, engine: CoreEngine | None = None) -> XYCoreResult:
     seeding (x = 1,2,4,…) establishes a good incumbent early so the
     ascending scan skips almost everything on skewed graphs.
     """
-    eng = engine or (LocalEngine() if isinstance(edges, EdgeArrays) else DataFrameEngine())
+    eng, edges, labels = engine_state(edges, engine)
     stats: dict = {"core_probes": 0, "x_evaluated": 0, "x_skipped": 0}
     x_ub = eng.max_out_degree(edges)
     best: XYCoreResult | None = None
     ymax_at: dict[int, int] = {}  # evaluated x -> y_max(x)
 
     def evaluate(x: int) -> int:
-        y, core = y_max_for_x(edges, x, engine=eng, stats=stats)
+        y, core = _y_max_for_x(eng, edges, x, stats)
         stats["x_evaluated"] += 1
         ymax_at[x] = y
         nonlocal best
@@ -249,4 +265,5 @@ def max_xy_core(edges, *, engine: CoreEngine | None = None) -> XYCoreResult:
     if best is None:
         return XYCoreResult(0, 0, empty_edges(), stats)
     best.stats = stats
+    best.edges = _labelled(best.edges, labels)
     return best

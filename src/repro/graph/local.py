@@ -18,12 +18,16 @@ from repro.graph.schema import DST, SRC
 
 @dataclass(frozen=True)
 class EdgeArrays:
-    """An immutable edge list: parallel ``src``/``dst`` int64 arrays."""
+    """An immutable edge list: parallel ``src``/``dst`` integer label arrays."""
 
     src: np.ndarray
     dst: np.ndarray
 
     def __post_init__(self) -> None:
+        # uint64 with a signed type promotes to float64, which would round labels
+        dtypes = [np.asarray(a).dtype for a in (self.src, self.dst)]
+        if not all(np.issubdtype(t, np.integer) for t in [*dtypes, np.result_type(*dtypes)]):
+            raise TypeError(f"vertex labels must share an integer type, got {dtypes}")
         if len(self.src) != len(self.dst):
             raise ValueError("src/dst length mismatch")
 
@@ -57,6 +61,18 @@ class EdgeArrays:
             return 0
         mask = np.isin(self.src, s_set) & np.isin(self.dst, t_set)
         return int(mask.sum())
+
+
+def relabel(e: EdgeArrays) -> tuple[EdgeArrays, np.ndarray]:
+    """The graph on dense vertex ids, and the id -> label array.
+
+    Ids are ``0..n-1`` over ``src ∪ dst`` (a vertex on both sides keeps
+    one id) and order-preserving: they sort like the labels, so every
+    sort order and tie-break taken on ids is the one taken on labels.
+    Per-round degree counts on ids are ``np.bincount``s, not sorts.
+    """
+    labels, ids = np.unique(np.concatenate([e.src, e.dst]), return_inverse=True)
+    return EdgeArrays(ids[: e.m], ids[e.m :]), labels
 
 
 def empty_edges() -> EdgeArrays:

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.graph.local import EdgeArrays, dedup, empty_edges
+from repro.graph.local import EdgeArrays, dedup, empty_edges, relabel
 
 
 def _e(pairs):
@@ -20,6 +20,24 @@ def test_m_and_side_counts():
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
         EdgeArrays(np.array([1, 2]), np.array([1]))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.bool_, object, np.uint64])
+def test_non_integer_labels_rejected(dtype):
+    # uint64 beside int64 labels has no common integer type
+    bad, good = np.array([0, 1], dtype=dtype), np.array([1, 0])
+    with pytest.raises(TypeError):
+        EdgeArrays(bad, good)
+    with pytest.raises(TypeError):
+        EdgeArrays(good, bad)
+
+
+def test_relabel_dense_shared_order_preserving():
+    e = _e([(5, -3), (7, 5), (2**40, 5)])
+    ids, labels = relabel(e)
+    assert labels.tolist() == [-3, 5, 7, 2**40]
+    assert ids.src.tolist() == [1, 2, 3] and ids.dst.tolist() == [0, 1, 1]
+    assert relabel(empty_edges())[0].m == 0
 
 
 def test_degree_maxima():
